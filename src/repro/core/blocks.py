@@ -131,6 +131,16 @@ class Block:
         """New block containing the given positions, in order."""
         raise NotImplementedError
 
+    def region(self, offset: int, length: int) -> "Block":
+        """Positions ``[offset, offset + length)`` as a fresh block.
+
+        Primitive and varchar blocks return zero-copy views that share
+        this block's arrays but none of its memo caches, so whatever a
+        reader caches on the view is never pinned on the source.  Other
+        kinds copy through ``take``.
+        """
+        return self.take(np.arange(offset, offset + length))
+
     def to_list(self) -> list[Any]:
         return [self.get(i) for i in range(self.position_count)]
 
@@ -230,6 +240,11 @@ class PrimitiveBlock(Block):
     def take(self, positions: np.ndarray) -> "PrimitiveBlock":
         new_nulls = self.nulls[positions] if self.nulls is not None else None
         return PrimitiveBlock(self.type, self.values[positions], new_nulls)
+
+    def region(self, offset: int, length: int) -> "PrimitiveBlock":
+        end = offset + length
+        nulls = self.nulls[offset:end] if self.nulls is not None else None
+        return PrimitiveBlock(self.type, self.values[offset:end], nulls)
 
     def size_in_bytes(self) -> int:
         if self.values.dtype == object:
@@ -502,6 +517,16 @@ class VarcharBlock(Block):
         data, offsets = _gather_slices(self.data, starts, lengths)
         new_nulls = self.nulls[positions] if self.nulls is not None else None
         return VarcharBlock(self.type, data, offsets, new_nulls)
+
+    def region(self, offset: int, length: int) -> "VarcharBlock":
+        # The view's offsets restart at 0 over a slice of the shared bytes.
+        end = offset + length
+        offsets = self.offsets[offset : end + 1]
+        base, stop = int(offsets[0]), int(offsets[-1])
+        nulls = self.nulls[offset:end] if self.nulls is not None else None
+        return VarcharBlock(
+            self.type, self.data[base:stop], offsets - base if base else offsets, nulls
+        )
 
     def size_in_bytes(self) -> int:
         total = int(self.data.nbytes) + int(self.offsets.nbytes)

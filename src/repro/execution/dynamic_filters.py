@@ -34,7 +34,7 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from repro.common.hashing import stable_hash
-from repro.core.blocks import Block
+from repro.core.blocks import Block, PrimitiveBlock, VarcharBlock
 from repro.core.expressions import (
     CallExpression,
     ConstantExpression,
@@ -138,7 +138,27 @@ class DynamicFilter:
         return self.bloom is None or self.bloom.contains(value)
 
     def mask(self, block: Block) -> np.ndarray:
-        values = block.loaded().to_list()
+        """Per-position :meth:`matches`, evaluated once per distinct value.
+
+        Numeric and varchar blocks factorize into (distinct values,
+        inverse) and broadcast the per-value answers; other block kinds
+        (the object lane, nested types) ask per position.
+        """
+        block = block.loaded()
+        if isinstance(block, VarcharBlock):
+            codes, uniques = block.factorize()
+            hits = np.fromiter(
+                (self.matches(u) for u in uniques), dtype=bool, count=len(uniques)
+            )
+            # Code -1 marks a NULL and picks the appended False.
+            return np.append(hits, False)[codes]
+        if isinstance(block, PrimitiveBlock) and block.values.dtype.kind in "biuf":
+            uniques, inverse = np.unique(block.values, return_inverse=True)
+            hits = np.fromiter(
+                (self.matches(u.item()) for u in uniques), dtype=bool, count=len(uniques)
+            )
+            return hits[inverse] & ~block.null_mask()
+        values = block.to_list()
         return np.fromiter(
             (self.matches(v) for v in values), dtype=bool, count=len(values)
         )

@@ -84,8 +84,9 @@ def _is_nan(value: Any) -> bool:
 def column_statistics_from_values(values: Sequence[Any]) -> ColumnStatisticsEntry:
     """Exact statistics over one column's Python values.
 
-    NaN values are excluded from the range (they compare unreliably) but
-    still count as distinct non-null values.
+    NaN values are excluded from the range (they compare unreliably) and
+    count as one distinct non-null value, however many NaN objects there
+    are (a set would tell them apart by identity).
     """
     total = len(values)
     defined = [v for v in values if v is not None]
@@ -97,8 +98,9 @@ def column_statistics_from_values(values: Sequence[Any]) -> ColumnStatisticsEntr
             low, high = min(orderable), max(orderable)
         except TypeError:
             low = high = None  # non-orderable values (lists, dicts, ...)
+    has_nan = len(orderable) < len(defined)
     try:
-        ndv = len(set(defined))
+        ndv = len(set(orderable)) + has_nan
     except TypeError:
         ndv = len({repr(v) for v in defined})  # unhashable values
     return ColumnStatisticsEntry(
@@ -114,12 +116,25 @@ def statistics_from_rows(
 ) -> TableStatistics:
     """Exact table statistics computed from materialized rows.
 
-    Used by connectors whose data is already in memory (the memory
-    connector) and as the oracle the hive footer-derived collection is
-    tested against.
+    The oracle that the memory connector's column-wise collection and the
+    hive footer-derived collection are tested against.
     """
-    columns = {
-        name: column_statistics_from_values([row[i] for row in rows])
-        for i, name in enumerate(column_names)
-    }
-    return TableStatistics(row_count=len(rows), columns=columns)
+    return statistics_from_columns(
+        column_names,
+        [[row[i] for row in rows] for i in range(len(column_names))],
+        len(rows),
+    )
+
+
+def statistics_from_columns(
+    column_names: Sequence[str], columns: Sequence[Sequence[Any]], row_count: int
+) -> TableStatistics:
+    """Exact table statistics from per-column value lists (the memory
+    connector's layout at rest)."""
+    return TableStatistics(
+        row_count=row_count,
+        columns={
+            name: column_statistics_from_values(values)
+            for name, values in zip(column_names, columns)
+        },
+    )

@@ -52,6 +52,20 @@ class TestDashboardQueries:
         assert result.rows == [(21,)]  # fresh data, no stale cache hit
         assert result.stats.fragment_cache_hits == 0
 
+    def test_replaced_table_with_same_row_count_not_served_stale(self):
+        connector = MemoryConnector()
+        connector.create_table("s", "t", [("x", BIGINT)], [(1,), (2,)])
+        engine = PrestoEngine(
+            session=Session(catalog="memory", schema="s"),
+            fragment_result_cache=FragmentResultCache(),
+        )
+        engine.register_connector("memory", connector)
+        assert engine.execute("SELECT sum(x) FROM t").rows == [(3,)]
+        connector.create_table("s", "t", [("x", BIGINT)], [(10,), (20,)])
+        result = engine.execute("SELECT sum(x) FROM t")
+        assert result.rows == [(30,)]
+        assert result.stats.fragment_cache_hits == 0
+
     def test_projection_changes_miss(self):
         engine, _ = memory_engine()
         engine.execute("SELECT sum(v) FROM t")
