@@ -22,8 +22,8 @@ Splits are scheduled FIFO (submission order), so completion order, cache
 warm-up order, and task records all follow the order work was produced.
 Time is fully simulated; `run_until_idle` drives the event loop.
 
-**Concurrent serving** (the multi-query scheduler): a cluster can also
-drive steppable engine queries — :meth:`PrestoClusterSim.submit_handle`
+**One way to run a query** (the multi-query scheduler): every query a
+cluster runs is a steppable handle — :meth:`PrestoClusterSim.submit_handle`
 admits a :class:`~repro.execution.engine.QueryHandle` through a
 :class:`ResourceGroup` tree (memory + concurrency quotas, nested by
 user/group, per the paper's resource-management section and the Twitter
@@ -33,7 +33,10 @@ dequeue when its group is at quota, sheds load with
 the queue exceeds its SLO, and — once admitted — *pumps* the handle's
 tasks into the ordinary split-scheduling machinery one stage at a time.
 Many admitted queries interleave on the shared simulated clock; worker
-crashes requeue in-flight splits across all of them.
+crashes requeue in-flight splits across all of them.  Synthetic work
+(:meth:`PrestoClusterSim.submit_query`, bare split durations) is wrapped
+in a one-stage handle and takes the same admit → pump → finish path; a
+blocking caller submits and then drives :meth:`run_until_idle`.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ from repro.cache.data_cache import DataCacheConfig, TieredDataCache
 from repro.common.clock import SimulatedClock
 from repro.common.errors import AdmissionRejectedError, ExecutionError, PrestoError
 from repro.common.ring import ConsistentHashRing
-from repro.obs.trace import QueryTrace, activate, current_tracer
+from repro.execution.scheduler import TaskStep
+from repro.obs.trace import QueryTrace
 
 
 class WorkerState(enum.Enum):
@@ -255,7 +259,7 @@ class ResourceGroup:
 class ConcurrentRun:
     """Cluster-side state of one concurrently-served engine query."""
 
-    handle: object  # repro.execution.engine.QueryHandle
+    handle: object  # a QueryHandle, or a _SplitsHandle for submit_query
     execution: QueryExecution
     group: ResourceGroup
     user: str
@@ -268,6 +272,30 @@ class ConcurrentRun:
     admitted_at: Optional[float] = None
     admission_span: Optional[object] = None
     on_finish: Optional[Callable[["ConcurrentRun"], None]] = None
+
+
+class _SplitsHandle:
+    """The one-stage handle :meth:`PrestoClusterSim.submit_query` admits.
+
+    Synthetic work has no engine behind it: every step is built up
+    front, and the pump takes them in order like any handle's tasks.
+    """
+
+    trace = None
+
+    def __init__(self, query_id: str, steps: list[TaskStep]) -> None:
+        self.query_id = query_id
+        self._steps = deque(steps)
+
+    @property
+    def done(self) -> bool:
+        return not self._steps
+
+    def peek_stage(self) -> Optional[int]:
+        return 0 if self._steps else None
+
+    def step(self) -> Optional[TaskStep]:
+        return self._steps.popleft() if self._steps else None
 
 
 @dataclass
@@ -328,11 +356,13 @@ class PrestoClusterSim:
         self.affinity_ring = ConsistentHashRing()
         self.workers: dict[str, Worker] = {}
         self._worker_ids = itertools.count()
-        self._query_ids = itertools.count()
+        self._query_ids = itertools.count()  # names submit_query's queries
         self.queries: dict[str, QueryExecution] = {}
-        # Concurrent serving: the resource-group tree, per-query run
-        # state, and the admission queue (fair-share dequeue order is
-        # computed at dequeue time, so one list suffices).
+        # Concurrent serving: the resource-group tree, live (queued or
+        # running) per-query run state — a finished run is dropped so its
+        # handle, rows and trace are not pinned — and the admission queue
+        # (fair-share dequeue order is computed at dequeue time, so one
+        # list suffices).
         self.root_group = ResourceGroup("root")
         self._runs: dict[str, ConcurrentRun] = {}
         self._queued_runs: list[ConcurrentRun] = []
@@ -513,16 +543,19 @@ class PrestoClusterSim:
     def submit_query(
         self,
         split_durations_ms: list[float],
-        query_id: Optional[str] = None,
         split_keys: Optional[list[str]] = None,
-        split_sizes: Optional[list[int]] = None,
+        split_sizes: Optional[list[Optional[int]]] = None,
     ) -> QueryExecution:
-        """Admit a query whose work is the given split durations.
+        """Admit a synthetic query whose work is the given split durations.
 
         ``split_keys`` (optional, parallel to the durations) name the data
         each split reads, enabling affinity scheduling and cache hits;
         ``split_sizes`` (optional, parallel) are the splits' data sizes in
-        bytes for cache capacity accounting.
+        bytes for cache capacity accounting (None: the cache's default
+        entry estimate).  The splits become a one-stage handle admitted
+        through :meth:`submit_handle` as user ``anonymous``, so synthetic
+        work takes the same admission, planning and pump path as engine
+        queries.
         """
         if not split_durations_ms:
             raise ExecutionError("query needs at least one split")
@@ -530,113 +563,30 @@ class PrestoClusterSim:
             raise ExecutionError("split_keys length must match split durations")
         if split_sizes is not None and len(split_sizes) != len(split_durations_ms):
             raise ExecutionError("split_sizes length must match split durations")
-        tasks = [
-            SplitWork(
-                "",
-                duration,
-                split_keys[i] if split_keys else None,
-                split_sizes[i] if split_sizes else None,
+        last = len(split_durations_ms) - 1
+        steps = [
+            TaskStep(
+                stage=0,
+                task=i,
+                data_key=split_keys[i] if split_keys else None,
+                sim_ms=duration,
+                splits=1,
+                stage_done=i == last,
+                query_done=i == last,
+                data_bytes=split_sizes[i] if split_sizes else None,
             )
             for i, duration in enumerate(split_durations_ms)
         ]
-        return self.submit_tasks(tasks, query_id=query_id)
-
-    def submit_tasks(
-        self, tasks: list[SplitWork], query_id: Optional[str] = None
-    ) -> QueryExecution:
-        """Admit a query whose work is the given tasks.
-
-        Generalizes :meth:`submit_query` to pre-built :class:`SplitWork`
-        items — the shape staged execution produces (one per task, with
-        the task's simulated duration, its affinity data key, and its
-        data size for the worker caches).
-        """
-        if not tasks:
-            raise ExecutionError("query needs at least one task")
-        query_id = query_id or f"{self.name}-q{next(self._query_ids)}"
-        # Engine-assigned ids can repeat across engines (or gateway
-        # failovers); keep cluster-side records unambiguous.
-        query_id = self._unique_query_id(query_id)
-        for task in tasks:
-            task.query_id = query_id
-        now = self.clock.now_ms()
-        execution = QueryExecution(
-            query_id, splits_total=len(tasks), submitted_at=now
-        )
-        self.queries[query_id] = execution
-        self._count("cluster_queries_total")
-        self._set_query_gauges()
-        planning = self.coordinator.planning_cost_ms(
-            len([w for w in self.workers.values() if w.state is not WorkerState.SHUT_DOWN]),
-            self.running_query_count() + 1,
-        )
-        execution.started_at = now + planning
-        execution.pending = deque(tasks)
-        self._at(execution.started_at, self._schedule_pending)
-        return execution
-
-    def submit_engine_query(self, engine, sql: str) -> tuple:
-        """Run ``sql`` on ``engine`` staged, then schedule its real tasks.
-
-        The bridge from query execution to the cluster simulation: the
-        engine's StageScheduler records one task record per executed task
-        (stage, split, rows, simulated cost); those records — not
-        synthetic durations — become the cluster's work.  Returns
-        ``(QueryResult, QueryExecution)``.
-        """
-        # Run under a span so the cluster hop shows up in the query's
-        # trace: an existing active trace (a gateway submission) is
-        # reused; a standalone submission to a tracing engine gets its
-        # own tree with cluster admission at the root.
-        tracer = current_tracer()
-        if tracer is None and getattr(engine, "tracing", False):
-            tracer = QueryTrace()
-        if tracer is not None:
-            with activate(tracer), tracer.span("cluster.admission", cluster=self.name):
-                result = engine.execute(sql)
-        else:
-            result = engine.execute(sql)
-        # Thread the engine's query id through (namespaced by cluster) so
-        # cluster-side records (QueryExecution, SplitWork) join back to
-        # the engine query that produced them.
-        query_id = (
-            f"{self.name}-{result.stats.query_id}" if result.stats.query_id else None
-        )
-        records = result.stats.task_records
-        if records:
-            tasks = [
-                SplitWork(
-                    query_id=query_id or "",
-                    duration_ms=record["sim_ms"],
-                    data_key=record["data_key"],
-                    data_size_bytes=record.get("data_bytes"),
-                )
-                for record in records
-            ]
-        else:
-            # Metadata statements and direct execution produce no task
-            # records; account a single coordinator-side task.
-            tasks = [SplitWork(query_id=query_id or "", duration_ms=1.0)]
-        execution = self.submit_tasks(tasks, query_id=query_id)
-        return result, execution
+        return self.submit_handle(_SplitsHandle(f"q{next(self._query_ids)}", steps))
 
     def running_query_count(self) -> int:
         """Admitted-and-unfinished queries (planning or executing).
 
         Queries sitting in an admission queue are *not* running — they
         hold no resources and no coordinator attention; count them with
-        :meth:`queued_query_count`.  (Legacy ``submit_query`` admissions
-        are admitted immediately, so their semantics are unchanged.)
+        :meth:`queued_query_count`.
         """
-        running = 0
-        for execution in self.queries.values():
-            if execution.finished_at is not None:
-                continue
-            run = self._runs.get(execution.query_id)
-            if run is not None and run.state is not QueryState.RUNNING:
-                continue
-            running += 1
-        return running
+        return len(self._runs) - len(self._queued_runs)
 
     def queued_query_count(self) -> int:
         """Queries admitted to a queue but not yet holding resources."""
@@ -785,9 +735,9 @@ class PrestoClusterSim:
     ) -> tuple[object, QueryExecution]:
         """Plan ``sql`` on ``engine`` and admit its handle; non-blocking.
 
-        The concurrent counterpart of :meth:`submit_engine_query`:
-        returns ``(QueryHandle, QueryExecution)`` before any task has
-        run.  ``admission`` keywords pass through to
+        Returns ``(QueryHandle, QueryExecution)`` before any task has
+        run; to block, call :meth:`run_until_idle` and read
+        ``handle.result()``.  ``admission`` keywords pass through to
         :meth:`submit_handle`.
         """
         handle = engine.submit(sql)
@@ -838,10 +788,10 @@ class PrestoClusterSim:
 
         Steps the handle through the current stage, turning each executed
         task into a :class:`SplitWork` on the ordinary FIFO/affinity
-        scheduling path (so worker crashes requeue concurrent queries'
-        splits exactly like legacy ones).  Stops at stage barriers — the
-        next stage's tasks are not planned until every dispatched split
-        of the current stage has drained through the workers.
+        scheduling path (so a worker crash requeues any query's splits
+        the same way).  Stops at stage barriers — the next stage's tasks
+        are not planned until every dispatched split of the current stage
+        has drained through the workers.
         """
         if run.state is not QueryState.RUNNING:
             return
@@ -906,6 +856,7 @@ class PrestoClusterSim:
         execution.finished_at = now
         admitted = run.admitted_at if run.admitted_at is not None else now
         execution.running_ms = now - admitted
+        del self._runs[execution.query_id]
         run.group.release(run.memory_mb)
         run.group.queries_completed += 1
         self._user_running[run.user] -= 1
@@ -1133,19 +1084,11 @@ class PrestoClusterSim:
         worker.completed_splits += 1
         self._count("cluster_splits_completed_total")
         execution.splits_done += 1
-        run = self._runs.get(execution.query_id)
-        if run is None:
-            # Legacy path: all splits were known up front, so exhausting
-            # them finishes the query.
-            if execution.splits_done == execution.splits_total and not execution.pending:
-                execution.finished_at = self.clock.now_ms()
-                self._set_query_gauges()
-        else:
-            # Concurrent path: splits_total grows as stages dispatch, so
-            # completion is decided by the pump (handle done + drained).
-            run.inflight -= 1
-            if run.state is QueryState.RUNNING:
-                self._pump(run)
+        # splits_total grows as stages dispatch, so completion is decided
+        # by the pump (handle done + every split drained).
+        run = self._runs[execution.query_id]
+        run.inflight -= 1
+        self._pump(run)
         if worker.state is WorkerState.SHUTTING_DOWN and worker.running == 0:
             visible = (
                 worker.shutdown_visible_at is not None

@@ -66,7 +66,8 @@ class QueryStats:
     stage_summaries: list = field(default_factory=list)
     # One dict per task: stage, task index, split count, rows in/out, the
     # data key driving affinity scheduling, and the simulated duration.
-    # PrestoClusterSim.submit_engine_query turns these into SplitWork.
+    # An audit trail only: a cluster schedules each task from the
+    # TaskStep its handle returns while the query runs.
     task_records: list = field(default_factory=list)
 
     def as_dict(self) -> dict:

@@ -184,7 +184,6 @@ class PrestoEngine:
         max_build_rows: int = 10_000_000,
         enable_optimizer: bool = True,
         fragment_result_cache=None,
-        staged_execution: bool = True,
         hash_partitions: int = 4,
         fault_injector=None,
         max_task_retries: int = 3,
@@ -207,10 +206,6 @@ class PrestoEngine:
         self.clock = clock
         self.max_build_rows = max_build_rows
         self.fragment_result_cache = fragment_result_cache
-        # Staged execution (section III): execute() fragments the plan and
-        # runs it stage by stage through exchanges.  The direct pipeline
-        # stays available as execute_direct(), the differential oracle.
-        self.staged_execution = staged_execution
         self.hash_partitions = hash_partitions
         # Fault tolerance (sections VIII/IX/XII.C): an optional seeded
         # FaultInjector dooms a deterministic fraction of task attempts;
@@ -295,11 +290,11 @@ class PrestoEngine:
     def execute(self, sql: str) -> QueryResult:
         """Run ``sql`` to completion and materialize the result.
 
-        SELECT queries run through staged execution by default: the plan
-        is fragmented (section III), each fragment runs as a stage of
-        tasks, and pages move between stages over exchange buffers.  Pass
-        ``staged_execution=False`` to the engine (or call
-        :meth:`execute_direct`) for the single-pipeline path.
+        SELECT queries run through staged execution: the plan is
+        fragmented (section III), each fragment runs as a stage of tasks,
+        and pages move between stages over exchange buffers — the
+        :meth:`submit` handle driven to completion in one go.
+        :meth:`execute_direct` is the single-pipeline oracle.
 
         Besides SELECT queries, the metadata statements are supported:
         ``EXPLAIN [ANALYZE | (TYPE DISTRIBUTED)] <query>``,
@@ -309,9 +304,10 @@ class PrestoEngine:
         statement = _match_metadata_statement(sql)
         if statement is not None:
             return statement(self)
-        if self.staged_execution:
-            return self._execute_staged(self.plan(sql))
-        return self._execute_pipeline(self.plan(sql))
+        # The steppable path driven to completion in one go — one code
+        # path, so traces/stats cannot drift between single-query and
+        # concurrent execution.
+        return self._submit_plan(self.plan(sql)).run_to_completion()
 
     def execute_direct(self, sql: str) -> QueryResult:
         """Run ``sql`` through the single in-process pipeline.
@@ -324,10 +320,6 @@ class PrestoEngine:
         if statement is not None:
             return statement(self)
         return self._execute_pipeline(self.plan(sql))
-
-    def execute_staged(self, sql: str) -> QueryResult:
-        """Run ``sql`` through fragments, stages, tasks and exchanges."""
-        return self._execute_staged(self.plan(sql))
 
     def submit(self, sql: str) -> QueryHandle:
         """Non-blocking submit: plan ``sql`` and return a steppable handle.
@@ -413,19 +405,13 @@ class PrestoEngine:
                 record_operator_spans(tracer, plan, ctx.operator_rows)
         return QueryResult(list(plan.column_names), rows, ctx.stats, trace=tracer)
 
-    def _execute_staged(self, plan: OutputNode) -> QueryResult:
-        # The blocking path is the steppable path driven to completion in
-        # one go — one code path, so traces/stats cannot drift between
-        # single-query and concurrent execution.
-        return self._submit_plan(plan).run_to_completion()
-
     def explain_analyze(self, sql: str) -> str:
         """EXPLAIN ANALYZE: run staged, report per-stage execution stats."""
         plan = self.plan(sql)
         from repro.planner.fragmenter import Fragmenter
 
         fragmented = Fragmenter().fragment(plan)
-        result = self._execute_staged(plan)
+        result = self._submit_plan(plan).run_to_completion()
         stats = result.stats
         lines = [
             f"Query: {stats.stages_total} stages, {stats.tasks_total} tasks "

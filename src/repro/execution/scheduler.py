@@ -21,8 +21,9 @@ query context that pins scans to the task's splits and resolves
 RemoteSource leaves against the upstream exchange buffers.  Task costs
 are simulated from real row counts (a fixed per-task overhead plus a per
 row cost) and recorded in :class:`repro.execution.context.QueryStats`;
-``EXPLAIN ANALYZE`` renders them and
-``PrestoClusterSim.submit_engine_query`` replays them as cluster work.
+``EXPLAIN ANALYZE`` renders them.  On a cluster, each task reaches the
+workers as it runs: ``PrestoClusterSim`` steps the query's handle and
+schedules every returned :class:`TaskStep` as split work.
 
 **Fault tolerance.**  Each task runs inside a bounded retry loop.  A task
 attempt can fail three ways: the configured
@@ -488,20 +489,22 @@ class StageScheduler:
 class TaskStep:
     """What one :meth:`QueryScheduler.step` executed, for the event loop.
 
-    ``sim_ms`` is the task's simulated engine cost — the cluster replays
-    it as split work on a worker slot.  ``stage_done``/``query_done``
+    ``sim_ms`` is the task's simulated engine cost — the cluster runs it
+    as split work on a worker slot.  ``stage_done``/``query_done``
     mark barrier crossings: the scheduler will not plan the next stage's
-    tasks until every in-flight task of this stage has drained.
+    tasks until every in-flight task of this stage has drained.  A
+    ``data_bytes`` of None (synthetic cluster work only) means "use the
+    worker cache's default entry estimate".
     """
 
     stage: int
     task: int
-    data_key: str
+    data_key: Optional[str]
     sim_ms: float
     splits: int
     stage_done: bool
     query_done: bool
-    data_bytes: int = 0
+    data_bytes: Optional[int] = 0
 
 
 class QueryScheduler:

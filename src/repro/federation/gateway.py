@@ -14,10 +14,9 @@ query's data path.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
-
-from contextlib import nullcontext
 
 from repro.common.errors import AdmissionRejectedError, GatewayError, PrestoError
 from repro.execution.cluster import PrestoClusterSim, QueryExecution
@@ -61,9 +60,9 @@ class PrestoGateway:
         self.failovers = 0
         self.load_sheds = 0
         self.all_sheds = 0
-        # Live non-blocking submissions (submit_sql_async), so a drain
-        # can re-route the still-queued ones.
-        self._submissions: list[GatewaySubmission] = []
+        # Unfinished non-blocking submissions (submit_sql_async) by
+        # handle, so a drain can re-route the still-queued ones.
+        self._submissions: dict[object, GatewaySubmission] = {}
         # Optional observability: ``gateway_redirects_total``,
         # ``gateway_queries_routed_total{cluster}`` and
         # ``gateway_failovers_total{cluster}``.
@@ -111,11 +110,11 @@ class PrestoGateway:
                 priority=run.priority,
                 on_finish=run.on_finish,
             )
-            for submission in self._submissions:
-                if submission.handle is run.handle:
-                    submission.cluster_name = fallback
-                    submission.execution = execution
-                    submission.attempts += 1
+            submission = self._submissions.get(run.handle)
+            if submission is not None:
+                submission.cluster_name = fallback
+                submission.execution = execution
+                submission.attempts += 1
 
     def undrain_cluster(self, name: str) -> None:
         self._drained.discard(name)
@@ -157,10 +156,16 @@ class PrestoGateway:
     ) -> tuple:
         """Follow the redirect and run a real query on the target cluster.
 
-        The query executes on ``engine`` through staged execution; the
-        resulting task records are scheduled as cluster work on whichever
-        cluster the route resolves to.  Returns ``(QueryResult,
-        QueryExecution)``.
+        A blocking loop over the non-blocking path: the query is planned
+        on ``engine`` and admitted exactly as :meth:`submit_sql_async`
+        does, then the gateway drives the cluster it landed on with
+        :meth:`~repro.execution.cluster.PrestoClusterSim.run_until_idle`.
+        Returns ``(QueryResult, QueryExecution)``.  Two consequences of
+        sharing that path: a blocking call goes through the cluster's
+        resource-group admission (it can queue, spill to another cluster,
+        or be shed with :class:`AdmissionRejectedError`), and it drives
+        the routed cluster until it is *idle* — other queries already
+        admitted there run to completion too.
 
         Failover (the Twitter hybrid-cloud gateway pattern): when the run
         fails with a *retryable* error (INTERNAL_ERROR / EXTERNAL — the
@@ -170,29 +175,25 @@ class PrestoGateway:
         USER_ERRORs and INSUFFICIENT_RESOURCES fail fast — no amount of
         re-routing fixes a bad query or an over-large join.
         """
-        redirect = self.redirect(user, groups)
-        cluster_name = redirect.cluster_name
+        cluster_name = self.redirect(user, groups).cluster_name
         if max_failovers is None:
             max_failovers = len(self.clusters) - 1
-        # One trace per gateway submission, rooted at the routing hop, so
-        # a failed-over query's tree shows every cluster it touched.
+        # One trace per gateway submission, rooted at the routing hop:
+        # every attempt plans under it, so a failed-over query's tree
+        # shows every cluster it touched.
         tracer = QueryTrace() if getattr(engine, "tracing", False) else None
-        submit_span = (
-            tracer.span("gateway.submit", user=user)
-            if tracer is not None
-            else nullcontext()
-        )
+        span = tracer.open_span("gateway.submit", user=user) if tracer is not None else None
         tried: list[str] = []
-        with activate(tracer) if tracer is not None else nullcontext(), submit_span:
+        try:
             while True:
                 tried.append(cluster_name)
-                self._count("gateway_queries_routed_total", cluster=cluster_name)
-                if tracer is not None:
-                    tracer.instant(
-                        "gateway.route", cluster=cluster_name, attempt=len(tried)
-                    )
                 try:
-                    return self.clusters[cluster_name].submit_engine_query(engine, sql)
+                    with activate(tracer) if tracer is not None else nullcontext():
+                        handle = engine.submit(sql)
+                    submission = self._admit(user, handle, cluster_name)
+                    tried[-1] = submission.cluster_name
+                    self.clusters[submission.cluster_name].run_until_idle()
+                    return handle.result(), submission.execution
                 except PrestoError as error:
                     if not error.retryable:
                         raise
@@ -204,8 +205,11 @@ class PrestoGateway:
                     if not candidates or len(tried) > max_failovers:
                         raise
                     self.failovers += 1
-                    self._count("gateway_failovers_total", cluster=cluster_name)
+                    self._count("gateway_failovers_total", cluster=tried[-1])
                     cluster_name = candidates[0]
+        finally:
+            if span is not None:
+                tracer.close_span(span)
 
     # -- non-blocking submission ------------------------------------------------
 
@@ -256,20 +260,46 @@ class PrestoGateway:
         """
         redirect = self.redirect(user, groups)
         handle = engine.submit(sql)
-        tracer = getattr(handle, "trace", None)
+        tracer = handle.trace
         span = tracer.open_span("gateway.submit", user=user) if tracer is not None else None
 
         def finished(run) -> None:
-            if tracer is not None and span is not None:
+            # Only queued submissions are ever re-routed (drain); a
+            # finished one must not pin its handle, rows and trace.
+            self._submissions.pop(run.handle, None)
+            if span is not None:
                 tracer.close_span(span)
 
+        try:
+            submission = self._admit(
+                user,
+                handle,
+                redirect.cluster_name,
+                resource_group=resource_group,
+                memory_mb=memory_mb,
+                priority=priority,
+                on_finish=finished,
+            )
+        except AdmissionRejectedError:
+            if span is not None:
+                tracer.close_span(span)
+            raise
+        self._submissions[handle] = submission
+        return submission
+
+    def _admit(self, user: str, handle, routed: str, **admission) -> GatewaySubmission:
+        """Admit ``handle`` to the ``routed`` cluster, spilling on shed.
+
+        ``admission`` keywords pass through to ``submit_handle``.  A shed
+        (:class:`AdmissionRejectedError`) moves on to the remaining
+        undrained clusters, shallowest admission queue first; if every
+        cluster sheds, the rejection with the minimum ``retry_after_ms``
+        propagates.
+        """
+        tracer = handle.trace
         depths = self.queue_depths()
-        spill_order = [redirect.cluster_name] + sorted(
-            (
-                name
-                for name in self.clusters
-                if name != redirect.cluster_name and name not in self._drained
-            ),
+        spill_order = [routed] + sorted(
+            (name for name in self.clusters if name != routed and name not in self._drained),
             key=lambda name: (depths[name], name),
         )
         rejections: list[AdmissionRejectedError] = []
@@ -284,14 +314,7 @@ class PrestoGateway:
                     queue_depth=cluster.queued_query_count(),
                 )
             try:
-                execution = cluster.submit_handle(
-                    handle,
-                    user=user,
-                    resource_group=resource_group,
-                    memory_mb=memory_mb,
-                    priority=priority,
-                    on_finish=finished,
-                )
+                execution = cluster.submit_handle(handle, user=user, **admission)
             except AdmissionRejectedError as error:
                 rejections.append(error)
                 self.load_sheds += 1
@@ -299,19 +322,14 @@ class PrestoGateway:
                 continue
             if attempt > 1:
                 self.failovers += 1
-                self._count("gateway_failovers_total", cluster=spill_order[0])
-            submission = GatewaySubmission(
+                self._count("gateway_failovers_total", cluster=routed)
+            return GatewaySubmission(
                 user=user,
                 handle=handle,
                 cluster_name=cluster_name,
                 execution=execution,
                 attempts=attempt,
             )
-            self._submissions.append(submission)
-            return submission
-        if tracer is not None and span is not None:
-            tracer.close_span(span)
-        assert rejections
         self.all_sheds += 1
         self._count("gateway_all_shed_total")
         raise min(rejections, key=lambda error: error.retry_after_ms)

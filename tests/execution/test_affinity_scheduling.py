@@ -50,6 +50,17 @@ class TestAffinityScheduling:
         with pytest.raises(ExecutionError):
             cluster.submit_query([1.0, 2.0], split_keys=["only-one"])
 
+    def test_split_sizes_charge_the_worker_cache(self):
+        # A split with no size is charged the cache's default entry
+        # estimate, not zero bytes; a sized split is charged its size.
+        cluster = PrestoClusterSim(workers=1, clock=SimulatedClock())
+        cluster.submit_query([5.0], split_keys=["unsized"])
+        cluster.submit_query([5.0], split_keys=["sized"], split_sizes=[4096])
+        cluster.run_until_idle()
+        cache = next(iter(cluster.workers.values())).data_cache
+        default = cluster.data_cache_config.default_entry_bytes
+        assert cache.hot.used_bytes == default + 4096
+
     def test_affinity_falls_back_when_preferred_busy(self):
         cluster = PrestoClusterSim(
             workers=2, slots_per_worker=1, clock=SimulatedClock(), affinity_scheduling=True

@@ -67,6 +67,16 @@ class TestCoordinatorBottleneck:
         busy = model.planning_cost_ms(workers=100, concurrent_queries=1000)
         assert busy > 5 * idle
 
+    def test_synthetic_query_counts_itself_once_when_planning(self):
+        # concurrency_factor=1 makes one query of concurrency visible in
+        # the cost: counting the new query twice would plan at 2.
+        model = CoordinatorModel(concurrency_factor=1.0)
+        cluster = PrestoClusterSim(workers=3, coordinator=model, clock=SimulatedClock())
+        execution = cluster.submit_query([10.0])
+        assert execution.started_at - execution.submitted_at == model.planning_cost_ms(3, 1)
+        cluster.run_until_idle()
+        assert execution.finished_at == pytest.approx(execution.started_at + 10.0)
+
     def test_latency_degrades_on_oversized_cluster(self):
         small = PrestoClusterSim(workers=100, slots_per_worker=1)
         large = PrestoClusterSim(workers=2500, slots_per_worker=1)

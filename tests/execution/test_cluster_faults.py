@@ -91,13 +91,15 @@ class TestWorkerCrash:
         engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
         engine.register_connector("memory", connector)
         cluster = PrestoClusterSim(workers=2, slots_per_worker=1, clock=SimulatedClock())
-        result, execution = cluster.submit_engine_query(
+        handle, execution = cluster.submit_engine_handle(
             engine, "SELECT k, count(*) FROM events GROUP BY k"
         )
         victim = next(iter(cluster.workers))
-        cluster.crash_worker_at(60.0, victim)
+        # Mid-flight: the first ~1 ms tasks are running on both workers.
+        cluster.crash_worker_at(execution.started_at + 1.5, victim)
         cluster.run_until_idle()
-        assert result.rows  # engine result intact
+        assert handle.result().rows  # engine result intact
+        assert execution.splits_requeued > 0  # the crash hit in-flight work
         assert execution.finished_at is not None
         assert execution.splits_done == execution.splits_total
 
@@ -306,27 +308,37 @@ class TestCrashCacheConsistency:
 
 
 class TestQueryIdThreading:
-    def test_engine_query_id_reaches_cluster_records(self):
+    @staticmethod
+    def make_engine():
         connector = MemoryConnector(split_size=10)
         connector.create_table(
             "db", "t", [("v", BIGINT)], [(i,) for i in range(30)]
         )
         engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
         engine.register_connector("memory", connector)
+        return engine
+
+    def test_engine_query_id_reaches_cluster_records(self):
         cluster = PrestoClusterSim(workers=2, clock=SimulatedClock(), name="adhoc")
-        result, execution = cluster.submit_engine_query(engine, "SELECT sum(v) FROM t")
+        handle, execution = cluster.submit_engine_handle(
+            self.make_engine(), "SELECT sum(v) FROM t"
+        )
         cluster.run_until_idle()
-        engine_id = result.stats.query_id
+        engine_id = handle.result().stats.query_id
         assert engine_id
         assert execution.query_id == f"adhoc-{engine_id}"
         assert execution.query_id in cluster.queries
 
     def test_resubmitting_same_engine_query_gets_unique_cluster_id(self):
-        cluster = PrestoClusterSim(workers=1, clock=SimulatedClock())
-        from repro.execution.cluster import SplitWork
-
-        first = cluster.submit_tasks([SplitWork("", 1.0)], query_id="dup")
-        second = cluster.submit_tasks([SplitWork("", 1.0)], query_id="dup")
-        assert first.query_id == "dup"
-        assert second.query_id != "dup"
+        cluster = PrestoClusterSim(workers=1, clock=SimulatedClock(), name="adhoc")
+        # Two fresh engines both number their first query "query-0".
+        first_handle, first = cluster.submit_engine_handle(
+            self.make_engine(), "SELECT sum(v) FROM t"
+        )
+        second_handle, second = cluster.submit_engine_handle(
+            self.make_engine(), "SELECT sum(v) FROM t"
+        )
+        assert first_handle.query_id == second_handle.query_id
+        assert first.query_id == f"adhoc-{first_handle.query_id}"
+        assert second.query_id != first.query_id
         assert len(cluster.queries) == 2

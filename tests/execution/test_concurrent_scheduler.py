@@ -218,9 +218,8 @@ class TestAdmissionControl:
         assert a3.state == b1.state == "finished"
         # Fair share: when the first slot freed, bob (0 running) beat
         # alice's third query (1 still running) despite arriving later.
-        b1_run = cluster._runs[b1_ex.query_id]
-        a3_run = cluster._runs[a3_ex.query_id]
-        assert b1_run.admitted_at < a3_run.admitted_at
+        admitted = {r["query_id"]: r["admitted_ms"] for r in cluster._timeline}
+        assert admitted[b1_ex.query_id] < admitted[a3_ex.query_id]
 
     def test_priority_beats_fair_share(self):
         cluster, _ = self.make_cluster()

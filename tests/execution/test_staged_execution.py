@@ -8,7 +8,7 @@ from repro.common.hashing import stable_hash
 from repro.common.ring import ConsistentHashRing
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, VARCHAR
-from repro.execution.cluster import PrestoClusterSim, SplitWork
+from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
 from repro.federation.gateway import PrestoGateway
 from repro.planner.analyzer import Session
@@ -93,30 +93,29 @@ class TestDirectOracle:
         assert result.stats.stages_total == 0
         assert result.stats.task_records == []
 
-    def test_staged_flag_off_disables_staging(self):
-        engine = make_engine(staged_execution=False)
-        result = engine.execute("SELECT count(*) FROM events")
+    def test_execute_direct_runs_zero_stages(self):
+        engine = make_engine()
+        result = engine.execute_direct("SELECT count(*) FROM events")
         assert result.stats.stages_total == 0
         assert result.rows == [(40,)]
 
 
 class TestClusterBridge:
-    def test_submit_tasks_generalizes_submit_query(self):
+    def test_submit_query_runs_keyed_splits(self):
         cluster = PrestoClusterSim(workers=2, clock=SimulatedClock())
-        execution = cluster.submit_tasks(
-            [SplitWork("", 10.0, "a"), SplitWork("", 20.0, "b")]
-        )
+        execution = cluster.submit_query([10.0, 20.0], split_keys=["a", "b"])
         cluster.run_until_idle()
         assert execution.finished_at is not None
         assert execution.splits_total == 2
 
-    def test_submit_engine_query_schedules_real_tasks(self):
+    def test_engine_handle_schedules_real_tasks(self):
         engine = make_engine()
         cluster = PrestoClusterSim(workers=3, clock=SimulatedClock())
-        result, execution = cluster.submit_engine_query(
+        handle, execution = cluster.submit_engine_handle(
             engine, "SELECT k, sum(v) FROM events GROUP BY k"
         )
         cluster.run_until_idle()
+        result = handle.result()
         assert execution.finished_at is not None
         # One cluster task per staged-execution task, not a synthetic count.
         assert execution.splits_total == result.stats.tasks_total
@@ -127,7 +126,7 @@ class TestClusterBridge:
             workers=4, clock=SimulatedClock(), affinity_scheduling=True
         )
         for _ in range(3):
-            cluster.submit_engine_query(engine, "SELECT sum(v) FROM events")
+            cluster.submit_engine_handle(engine, "SELECT sum(v) FROM events")
             cluster.run_until_idle()
         # The split data keys repeat across queries, so repeat scans hit
         # the preferred workers' caches.
@@ -136,7 +135,7 @@ class TestClusterBridge:
     def test_graceful_shutdown_drains_engine_tasks(self):
         engine = make_engine()
         cluster = PrestoClusterSim(workers=2, clock=SimulatedClock())
-        _, execution = cluster.submit_engine_query(
+        _, execution = cluster.submit_engine_handle(
             engine, "SELECT k, count(*) FROM events GROUP BY k"
         )
         victim = next(iter(cluster.workers))

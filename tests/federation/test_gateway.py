@@ -37,7 +37,7 @@ def make_engine(**kwargs):
 
 
 class FlakyEngine:
-    """Engine stub: raises a configured error for the first N executions,
+    """Engine stub: raises a configured error for the first N submissions,
     then delegates to a real engine."""
 
     def __init__(self, failures, error_factory):
@@ -46,11 +46,11 @@ class FlakyEngine:
         self.error_factory = error_factory
         self.real = make_engine()
 
-    def execute(self, sql):
+    def submit(self, sql):
         self.calls += 1
         if self.calls <= self.failures:
             raise self.error_factory()
-        return self.real.execute(sql)
+        return self.real.submit(sql)
 
 
 class TestRoutingTable:
@@ -196,6 +196,19 @@ class TestGatewayFailover:
         _, execution = gateway.submit_sql("alice", engine, "SELECT v FROM t")
         assert execution.query_id.startswith("shared")
         assert gateway.failovers == 1
+
+    def test_blocking_call_goes_through_admission(self):
+        gateway = make_gateway()
+        result, execution = gateway.submit_sql("alice", make_engine(), "SELECT sum(v) FROM t")
+        assert result.rows == [(sum(range(30)),)]
+        assert (execution.user, execution.resource_group) == ("alice", "root.alice")
+
+    def test_blocking_call_drives_routed_cluster_until_idle(self):
+        gateway = make_gateway()
+        engine = make_engine()
+        earlier = gateway.submit_sql_async("alice", engine, "SELECT v FROM t")
+        gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        assert earlier.handle.state == "finished"
 
     def test_injected_faults_drive_real_failover(self):
         # End-to-end: retries disabled, so the injected INTERNAL_ERROR on

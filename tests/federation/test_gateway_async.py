@@ -8,6 +8,9 @@ driven by two clusters (no double-publish — result rows stay equal to
 the single-query oracle).
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import AdmissionRejectedError
@@ -225,3 +228,31 @@ class TestDrainWithInflightQueries:
             assert len(admissions) == 1
             expected = submission.cluster_name
             assert admissions[0].attributes["cluster"] == expected
+
+
+class TestSubmissionLifetime:
+    def test_finished_submission_is_not_retained(self):
+        # Neither the gateway nor the cluster pins a finished handle (and
+        # with it the rows, trace and stats) once the caller lets go.
+        gateway = make_gateway()
+        submission = gateway.submit_sql_async("alice", make_engine(), SQL)
+        drive(gateway)
+        assert submission.handle.result().rows == make_engine().execute(SQL).rows
+        handle = weakref.ref(submission.handle)
+        del submission
+        gc.collect()
+        assert handle() is None
+
+    def test_queued_submission_still_reroutes_after_others_finish(self):
+        gateway, engine = make_gateway(), make_engine()
+        gateway.clusters["dedicated-a"].resource_group("alice", max_running=1)
+        first = gateway.submit_sql_async("alice", engine, SQL)
+        gateway.clusters["dedicated-a"].run_until_idle()
+        running = gateway.submit_sql_async("alice", engine, SQL)
+        queued = gateway.submit_sql_async("alice", engine, SQL)
+        gateway.drain_cluster("dedicated-a", "shared")
+        assert first.handle.state == "finished"
+        assert running.cluster_name == "dedicated-a"
+        assert (queued.cluster_name, queued.attempts) == ("shared", 2)
+        drive(gateway)
+        assert queued.handle.result().rows == make_engine().execute(SQL).rows
