@@ -356,16 +356,16 @@ class _HybridProvider(ConnectorRecordSetProvider):
         output_types: list[PrestoType],
     ) -> Iterator[Page]:
         table = self._connector.table(info["table"])
-        file = ParquetFile(table.lake.filesystem.open(info["path"]))
-        predicate = (
-            expression_from_dict(handle.constraint)
-            if handle.constraint is not None
-            else None
-        )
         cut = info.get("cut")
         if cut is None:
             # The whole file is visible: stream straight from the reader
             # with predicate pushdown, exactly like the iceberg connector.
+            predicate = (
+                expression_from_dict(handle.constraint)
+                if handle.constraint is not None
+                else None
+            )
+            file = ParquetFile(table.lake.filesystem.open(info["path"]))
             reader = NewParquetReader(file, list(columns), predicate=predicate)
             produced = False
             for page in reader.read_pages():
@@ -374,20 +374,13 @@ class _HybridProvider(ConnectorRecordSetProvider):
             if not produced:
                 yield Page.from_columns(output_types, [[] for _ in columns])
             return
-        # Time travel below the sealed watermark: materialize full rows,
-        # mask by the pinned offset cut, then filter and project.
-        watermark = Watermark.decode(cut)
-        names = [n for n, _ in layout]
-        reader = NewParquetReader(file, names)
-        rows = [row for page in reader.read_pages() for row in page.loaded().rows()]
-        partition_index = names.index("_partition_id")
-        offset_index = names.index("_offset")
-        rows = [
-            row
-            for row in rows
-            if watermark.covers(row[partition_index], row[offset_index])
-        ]
+        # Time travel below the sealed watermark: cut the file at the
+        # pinned watermark, then filter and project.
+        rows = table.lake_file_rows_between(
+            info["path"], Watermark.zero(table.partitions), Watermark.decode(cut)
+        )
         rows = self._filter(rows, layout, handle.constraint)
+        names = [n for n, _ in layout]
         indexes = [names.index(c.split(".")[0]) for c in columns]
         yield Page.from_rows(
             output_types, [tuple(row[i] for i in indexes) for row in rows]

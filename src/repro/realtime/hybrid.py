@@ -33,11 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.common.errors import ConnectorError
 from repro.connectors.kafka import HIDDEN_COLUMNS
 from repro.connectors.lakehouse.table_format import IcebergTable
 from repro.connectors.realtime.store import RealtimeOlapStore, Segment
+from repro.core.blocks import Block, DictionaryBlock
 from repro.core.types import PrestoType
+from repro.formats.parquet.file import ParquetFile
+from repro.formats.parquet.reader_new import NewParquetReader
 from repro.realtime.watermark import Watermark
 
 SEALED_WATERMARK_PROPERTY = "sealed-watermark"
@@ -145,6 +150,13 @@ class HybridTable:
                 f"hybrid table {self.name!r}: partition {partition} append gap "
                 f"(expected offset {committed}, got {fresh[0].offset})"
             )
+        if fresh[-1].offset - fresh[0].offset + 1 != len(fresh):
+            # Tail reads slice segments by offset, so a segment must hold
+            # exactly base_offset .. end_offset - 1 in order.
+            raise ConnectorError(
+                f"hybrid table {self.name!r}: partition {partition} batch "
+                f"{fresh[0].offset}..{fresh[-1].offset} is not contiguous"
+            )
         rows = [
             tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in fresh
         ]
@@ -225,7 +237,6 @@ class HybridTable:
         """
         read = read.meet(self.committed)
         rows: list[tuple] = []
-        offset_index = len(self.fields) + 1  # _offset position in full rows
         for tail_segment in sorted(
             self.tail_segments, key=lambda s: (s.partition, s.base_offset)
         ):
@@ -236,22 +247,54 @@ class HybridTable:
             high = min(read.offset(p), tail_segment.end_offset)
             if low >= high:
                 continue
-            for row in _segment_rows(tail_segment.segment):
-                if low <= row[offset_index] < high:
-                    rows.append(row)
+            # Segment row i holds offset base_offset + i (append_tail only
+            # stores contiguous batches), and segment columns keep the
+            # full row layout's order: slice the columns, don't scan rows.
+            start = low - tail_segment.base_offset
+            stop = high - tail_segment.base_offset
+            rows.extend(
+                zip(*(c[start:stop] for c in tail_segment.segment.columns.values()))
+            )
         return rows
 
     def lake_rows_between(self, low: Watermark, high: Watermark) -> list[tuple]:
-        """Lake rows with ``low[p] <= offset < high[p]`` (full-width tuples)."""
-        partition_index = len(self.fields)
-        offset_index = partition_index + 1
+        """Lake rows with ``low[p] <= offset < high[p]`` (full-width tuples).
+
+        Ordered by ``(partition, offset)``.  A range empty in every
+        partition — the usual refresh, whose watermark sits at or above
+        the sealed one — opens no file.
+        """
+        if all(l >= h for l, h in zip(low.offsets, high.offsets)):
+            return []
         rows: list[tuple] = []
         for data_file in self.lake.current_snapshot().files:
-            for row in self.lake.read_file_rows(data_file):
-                p, offset = row[partition_index], row[offset_index]
-                if low.offset(p) <= offset < high.offset(p):
-                    rows.append(row)
-        rows.sort(key=lambda r: (r[partition_index], r[offset_index]))
+            rows.extend(self.lake_file_rows_between(data_file.path, low, high))
+        partition_index = len(self.fields)
+        rows.sort(key=lambda r: (r[partition_index], r[partition_index + 1]))
+        return rows
+
+    def lake_file_rows_between(
+        self, path: str, low: Watermark, high: Watermark
+    ) -> list[tuple]:
+        """One lake file's rows with ``low[p] <= offset < high[p]``, in file order.
+
+        The one cut of lake rows at a watermark, shared by refresh deltas
+        and time-travel scans.  The keep mask is computed on the
+        coordinate columns as arrays; tuples are built only for kept rows.
+        """
+        lows = np.asarray(low.offsets, dtype=np.int64)
+        highs = np.asarray(high.offsets, dtype=np.int64)
+        partition_channel = len(self.fields)
+        file = ParquetFile(self.lake.filesystem.open(path))
+        rows: list[tuple] = []
+        for page in NewParquetReader(file, self.column_names()).read_pages():
+            partitions = _coordinate_values(page.block(partition_channel))
+            offsets = _coordinate_values(page.block(partition_channel + 1))
+            keep = np.flatnonzero(
+                (lows[partitions] <= offsets) & (offsets < highs[partitions])
+            )
+            if len(keep):
+                rows.extend(page.take(keep).loaded().rows())
         return rows
 
     def read_rows_between(self, low: Watermark, high: Watermark) -> list[tuple]:
@@ -286,11 +329,9 @@ class HybridTable:
         return [n for n, _ in self.columns]
 
 
-def _segment_rows(segment: Segment) -> list[tuple]:
-    """Rebuild row tuples from a columnar store segment.
-
-    Segment column dicts preserve datasource column order, which is the
-    hybrid table's full row layout (user fields then log coordinates).
-    """
-    columns = list(segment.columns.values())
-    return [tuple(c[i] for c in columns) for i in range(segment.num_rows)]
+def _coordinate_values(block: Block) -> np.ndarray:
+    """The int64 values of a log-coordinate block (never null)."""
+    block = block.loaded()
+    if isinstance(block, DictionaryBlock):
+        block = block.decode()
+    return block.values

@@ -76,6 +76,17 @@ class TestIngestion:
         with pytest.raises(ConnectorError, match="append gap"):
             lh.table.append_tail(0, records[1:])
 
+    def test_non_contiguous_batch_rejected(self):
+        # Tail reads slice segments by offset, so a hole inside a batch
+        # must be refused, not stored.
+        lh = make_lakehouse()
+        produce_n(lh, 30)
+        records = lh.broker.log_records(lh.topic, 0)
+        assert len(records) >= 3
+        with pytest.raises(ConnectorError, match="not contiguous"):
+            lh.table.append_tail(0, records[:1] + records[2:])
+        assert lh.table.tail_row_count() == 0
+
     def test_redelivery_is_idempotent(self):
         lh = make_lakehouse()
         produce_n(lh, 20)
